@@ -15,8 +15,14 @@
  * relative cycle deviation plus its committed bound are written as one
  * JSON line per case. Same dry-run/--update-golden semantics.
  *
- * Usage: update_golden [--update-golden] [--envelope] [--dir PATH]
- *                      [--case NAME]
+ * With --dram-streams the tool maintains the DRAM command-stream
+ * fixture (tests/golden/dram_command_streams.json): every seeded
+ * stream case of analysis/dram_stream_golden.hh replayed through a
+ * DramSystem, one JSON line per case. Same dry-run/--update-golden
+ * semantics.
+ *
+ * Usage: update_golden [--update-golden] [--envelope] [--dram-streams]
+ *                      [--dir PATH] [--case NAME]
  *   --dir PATH   fixture directory (default: tests/golden next to the
  *                source tree, baked in at configure time)
  *   --case NAME  restrict to one golden case (fixture mode only)
@@ -28,6 +34,7 @@
 #include <sstream>
 #include <string>
 
+#include "analysis/dram_stream_golden.hh"
 #include "analysis/golden.hh"
 #include "common/logging.hh"
 
@@ -58,6 +65,7 @@ main(int argc, char **argv)
 
     bool update = false;
     bool envelope = false;
+    bool dram_streams = false;
     std::string dir = MNPU_GOLDEN_DIR;
     std::string only;
     for (int i = 1; i < argc; ++i) {
@@ -66,6 +74,8 @@ main(int argc, char **argv)
             update = true;
         } else if (arg == "--envelope") {
             envelope = true;
+        } else if (arg == "--dram-streams") {
+            dram_streams = true;
         } else if (arg == "--dir" && i + 1 < argc) {
             dir = argv[++i];
         } else if (arg == "--case" && i + 1 < argc) {
@@ -73,16 +83,43 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: %s [--update-golden] [--envelope] "
-                         "[--dir PATH] [--case NAME]\n",
+                         "[--dram-streams] [--dir PATH] [--case NAME]\n",
                          argv[0]);
             return 2;
         }
     }
 
+    // Whole-file fixtures (the envelope, the DRAM command streams):
+    // regenerate the whole text and compare/rewrite it as a unit, so a
+    // partial update can't leave rows measured against different
+    // source revisions.
+    auto refreshWhole = [&](const char *label, const std::string &path,
+                            const std::string &fresh) -> int {
+        std::string committed = readFileOrEmpty(path);
+        if (committed == fresh) {
+            std::printf("%-32s up to date\n", label);
+            return 0;
+        }
+        const char *why = committed.empty() ? "missing" : "differs";
+        if (!update) {
+            std::printf("%-32s STALE (%s)\n", label, why);
+            std::fprintf(stderr,
+                         "%s stale; rerun with --update-golden to "
+                         "rewrite\n",
+                         label);
+            return 1;
+        }
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        if (!out) {
+            std::fprintf(stderr, "cannot write %s\n", path.c_str());
+            return 1;
+        }
+        out << fresh;
+        std::printf("%-32s rewritten (%s)\n", label, why);
+        return 0;
+    };
+
     if (envelope) {
-        // One file covering every case: regenerate the whole text and
-        // compare/rewrite it as a unit, so a partial update can't leave
-        // rows measured against different source revisions.
         std::string fresh;
         for (const GoldenCase &golden : goldenCases()) {
             FidelityEnvelopeEntry entry;
@@ -98,28 +135,23 @@ main(int argc, char **argv)
                         entry.bound);
             fresh += fidelityEnvelopeLine(entry);
         }
-        std::string path = fidelityEnvelopePath(dir);
-        std::string committed = readFileOrEmpty(path);
-        if (committed == fresh) {
-            std::printf("%-32s up to date\n", "fidelity_envelope");
-            return 0;
+        return refreshWhole("fidelity_envelope", fidelityEnvelopePath(dir),
+                            fresh);
+    }
+
+    if (dram_streams) {
+        std::string fresh;
+        for (const DramStreamCase &stream_case : dramStreamCases()) {
+            try {
+                fresh += dramStreamLine(stream_case);
+            } catch (const std::exception &error) {
+                std::fprintf(stderr, "%-32s ERROR: %s\n",
+                             stream_case.name.c_str(), error.what());
+                return 1;
+            }
         }
-        const char *why = committed.empty() ? "missing" : "differs";
-        if (!update) {
-            std::printf("%-32s STALE (%s)\n", "fidelity_envelope", why);
-            std::fprintf(stderr,
-                         "envelope stale; rerun with --update-golden "
-                         "to rewrite\n");
-            return 1;
-        }
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n", path.c_str());
-            return 1;
-        }
-        out << fresh;
-        std::printf("%-32s rewritten (%s)\n", "fidelity_envelope", why);
-        return 0;
+        return refreshWhole("dram_command_streams",
+                            dramStreamFixturePath(dir), fresh);
     }
 
     int stale = 0;
