@@ -111,7 +111,7 @@ NpuCore::issueTransactions(Cycle now)
     bool work = false;
 
     while (budget > 0) {
-        if (static_cast<std::uint32_t>(inflightTx_.size()) >= max_out)
+        if (txLive_ >= max_out)
             break;
 
         // Stores drain first: they free SPM halves for the next loads.
@@ -138,12 +138,10 @@ NpuCore::issueTransactions(Cycle now)
                 }
                 xlatBlocked_ = false;
                 storeCursor_ = probe;
-                ++nextSeq_;
                 // Stores are activation/output traffic by construction
                 // (C tensors); no tensor-map lookup needed.
-                inflightTx_.emplace(
-                    tag, TxInfo{storeTile_, MemOp::Write,
-                                MemRegion::Activation});
+                addInflight(TxInfo{storeTile_, MemOp::Write,
+                                   MemRegion::Activation});
                 ++tiles_[storeTile_].storesOutstanding;
                 ++xlatOutstanding_;
                 writeTx_.inc();
@@ -177,10 +175,8 @@ NpuCore::issueTransactions(Cycle now)
                 }
                 xlatBlocked_ = false;
                 loadCursor_ = probe;
-                ++nextSeq_;
-                inflightTx_.emplace(tag,
-                                    TxInfo{loadTile_, MemOp::Read,
-                                           trace_.regionOf(vaddr)});
+                addInflight(TxInfo{loadTile_, MemOp::Read,
+                                   trace_.regionOf(vaddr)});
                 ++tiles_[loadTile_].loadsOutstanding;
                 ++xlatOutstanding_;
                 readTx_.inc();
@@ -356,37 +352,80 @@ NpuCore::tick(Cycle now)
 }
 
 void
+NpuCore::addInflight(const TxInfo &info)
+{
+    if (nextSeq_ - txBase_ >= txSlots_.size())
+        resizeInflight(std::max<std::size_t>(64, txSlots_.size() * 2));
+    TxInfo &slot = txSlots_[nextSeq_ & (txSlots_.size() - 1)];
+    slot = info;
+    slot.live = true;
+    ++txLive_;
+    ++nextSeq_;
+}
+
+NpuCore::TxInfo &
+NpuCore::inflight(std::uint64_t tag, const char *what)
+{
+    const std::uint64_t seq = tag & kSeqMask;
+    mnpu_assert(tag == makeTag(config_.id, seq) &&
+                    seq - txBase_ < nextSeq_ - txBase_ &&
+                    txSlots_[seq & (txSlots_.size() - 1)].live,
+                what);
+    return txSlots_[seq & (txSlots_.size() - 1)];
+}
+
+void
+NpuCore::retireInflight(std::uint64_t seq)
+{
+    const std::size_t mask = txSlots_.size() - 1;
+    txSlots_[seq & mask].live = false;
+    --txLive_;
+    while (txBase_ < nextSeq_ && !txSlots_[txBase_ & mask].live)
+        ++txBase_;
+}
+
+void
+NpuCore::resizeInflight(std::size_t size)
+{
+    std::vector<TxInfo> slots(size);
+    for (std::uint64_t seq = txBase_; seq < nextSeq_; ++seq) {
+        const TxInfo &info = txSlots_[seq & (txSlots_.size() - 1)];
+        if (info.live)
+            slots[seq & (size - 1)] = info;
+    }
+    txSlots_.swap(slots);
+}
+
+void
 NpuCore::onTranslation(std::uint64_t tag, Addr paddr, Cycle)
 {
-    auto it = inflightTx_.find(tag);
-    mnpu_assert(it != inflightTx_.end(), "translation for unknown tag");
+    const TxInfo &info = inflight(tag, "translation for unknown tag");
     mnpu_assert(xlatOutstanding_ > 0);
     poked_ = true;
     --xlatOutstanding_;
     DramRequest request;
     request.paddr = paddr;
-    request.op = it->second.op;
+    request.op = info.op;
     request.core = config_.id;
     request.tag = tag;
-    request.region = it->second.region;
+    request.region = info.region;
     dramReady_.push_back(request);
 }
 
 void
 NpuCore::onDramCompletion(std::uint64_t tag, Cycle)
 {
-    auto it = inflightTx_.find(tag);
-    mnpu_assert(it != inflightTx_.end(), "DRAM completion for unknown tag");
+    const TxInfo &info = inflight(tag, "DRAM completion for unknown tag");
     poked_ = true;
-    TileState &tile = tiles_[it->second.tile];
-    if (it->second.op == MemOp::Read) {
+    TileState &tile = tiles_[info.tile];
+    if (info.op == MemOp::Read) {
         mnpu_assert(tile.loadsOutstanding > 0);
         --tile.loadsOutstanding;
     } else {
         mnpu_assert(tile.storesOutstanding > 0);
         --tile.storesOutstanding;
     }
-    inflightTx_.erase(it);
+    retireInflight(tag & kSeqMask);
 }
 
 Cycle
@@ -405,7 +444,7 @@ NpuCore::nextTickCycle(Cycle now) const
         return std::max(now + 1, config_.startCycleGlobal);
     // Waiting on the memory system: the MMU/DRAM next-event covers us,
     // but issue opportunities may appear each cycle.
-    if (!dramReady_.empty() || !inflightTx_.empty())
+    if (!dramReady_.empty() || txLive_ != 0)
         return now + 1;
     if (computeTile_ < tiles_.size()) {
         const TileState &tile = tiles_[computeTile_];
@@ -449,10 +488,10 @@ NpuCore::nextEventCycle(Cycle now) const
     }
 
     // DMA issue: only when a transaction is actually issuable. Pending
-    // DRAM pushes (dramReady_) and outstanding completions (inflightTx_)
+    // DRAM pushes (dramReady_) and outstanding completions (txSlots_)
     // need no candidate — they advance only at cycles the DRAM/MMU
     // bounds already visit, and those components tick before us.
-    if (inflightTx_.size() < trace_.arch().dmaMaxOutstanding &&
+    if (txLive_ < trace_.arch().dmaMaxOutstanding &&
         hasIssuableTx()) {
         if (issueBudget_ == 0) {
             // Budget refreshes at the first global cycle of the next
@@ -738,17 +777,14 @@ NpuCore::saveState(StateWriter &out) const
     out.u64(computeFreeLocal_);
 
     out.u64(nextSeq_);
-    // In-flight transactions sorted by tag for deterministic bytes
-    // (the map is lookup-only; iteration order never reaches timing).
-    std::vector<std::uint64_t> tags;
-    tags.reserve(inflightTx_.size());
-    for (const auto &entry : inflightTx_)
-        tags.push_back(entry.first);
-    std::sort(tags.begin(), tags.end());
-    out.u64(tags.size());
-    for (std::uint64_t tag : tags) {
-        const TxInfo &info = inflightTx_.at(tag);
-        out.u64(tag);
+    // In-flight transactions in sequence order, i.e. sorted by tag
+    // (all of this core's tags share the core bits).
+    out.u64(txLive_);
+    for (std::uint64_t seq = txBase_; seq < nextSeq_; ++seq) {
+        const TxInfo &info = txSlots_[seq & (txSlots_.size() - 1)];
+        if (!info.live)
+            continue;
+        out.u64(makeTag(config_.id, seq));
         out.u32(info.tile);
         out.u8(info.op == MemOp::Write ? 1 : 0);
         out.u8(static_cast<std::uint8_t>(info.region));
@@ -820,16 +856,29 @@ NpuCore::loadState(StateReader &in)
     computeFreeLocal_ = in.u64();
 
     nextSeq_ = in.u64();
-    inflightTx_.clear();
     std::uint64_t num_tx = in.u64();
+    std::vector<std::pair<std::uint64_t, TxInfo>> inflight;
     for (std::uint64_t i = 0; i < num_tx; ++i) {
         std::uint64_t tag = in.u64();
+        std::uint64_t seq = tag & kSeqMask;
+        if (tag != makeTag(config_.id, seq) || seq >= nextSeq_ ||
+            (!inflight.empty() && seq <= inflight.back().first))
+            throw SnapshotError("core in-flight transaction tags invalid");
         TxInfo info;
         info.tile = in.u32();
         info.op = in.u8() != 0 ? MemOp::Write : MemOp::Read;
         info.region = static_cast<MemRegion>(in.u8());
-        inflightTx_.emplace(tag, info);
+        info.live = true;
+        inflight.emplace_back(seq, info);
     }
+    txBase_ = inflight.empty() ? nextSeq_ : inflight.front().first;
+    std::size_t size = 64;
+    while (size <= nextSeq_ - txBase_)
+        size *= 2;
+    txSlots_.assign(size, TxInfo{});
+    for (const auto &[seq, info] : inflight)
+        txSlots_[seq & (size - 1)] = info;
+    txLive_ = static_cast<std::uint32_t>(inflight.size());
     dramReady_.clear();
     std::uint64_t num_ready = in.u64();
     for (std::uint64_t i = 0; i < num_ready; ++i) {

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock_domain.hh"
@@ -93,7 +92,7 @@ class NpuCore
      * fastMemoryPhase) instead of per-transaction issue/translate/
      * queue/complete round trips, so the core advances in a handful of
      * events per tile. The exact path's per-transaction state
-     * (inflightTx_, dramReady_, DMA budgets) is bypassed entirely;
+     * (txSlots_, dramReady_, DMA budgets) is bypassed entirely;
      * compute timing, the double-buffer reuse rule, and layer/tile
      * span recording reuse the exact code unchanged. The resolved
      * fidelity is decided by resolvedFidelityKind() — never enable
@@ -229,11 +228,24 @@ class NpuCore
 
     struct TxInfo
     {
-        std::uint32_t tile;
-        MemOp op;
+        std::uint32_t tile = 0;
+        MemOp op = MemOp::Read;
         /** Placement class from the tensor map (tiered routing). */
         MemRegion region = MemRegion::Activation;
+        bool live = false; //!< slot holds an in-flight transaction
     };
+
+    static constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << 48) - 1;
+
+    /** Record @p info as in flight under sequence nextSeq_++. */
+    void addInflight(const TxInfo &info);
+    /** The in-flight transaction tagged @p tag; asserts it is live. */
+    TxInfo &inflight(std::uint64_t tag, const char *what);
+    /** Retire the in-flight transaction with sequence @p seq. */
+    void retireInflight(std::uint64_t seq);
+    /** Slot vector of @p size (a power of two) holding the live
+     *  transactions of the current window. */
+    void resizeInflight(std::size_t size);
 
     bool cursorNext(RangeCursor &cursor,
                     const std::vector<AccessRange> &ranges, Addr &out);
@@ -276,7 +288,16 @@ class NpuCore
     Cycle computeFreeLocal_ = 0;
 
     std::uint64_t nextSeq_ = 0;
-    std::unordered_map<std::uint64_t, TxInfo> inflightTx_;
+    /**
+     * In-flight transactions, a window over sequence numbers
+     * [txBase_, nextSeq_): sequence s lives in txSlots_[s & (size - 1)]
+     * while live. Completions arrive out of order, so txBase_ is the
+     * oldest live sequence and the vector doubles whenever the window
+     * outgrows it; a tag's sequence number is its low 48 bits.
+     */
+    std::vector<TxInfo> txSlots_;
+    std::uint64_t txBase_ = 0;
+    std::uint32_t txLive_ = 0;
     std::deque<DramRequest> dramReady_; //!< translated, awaiting DRAM
     std::uint32_t xlatOutstanding_ = 0;
 

@@ -14,7 +14,7 @@ DramChannel::DramChannel(const DramTiming &timing,
     : timing_(timing),
       mapping_(mapping),
       queueDepth_(queue_depth),
-      minHitAge_(timing.ranks * timing.banksPerRank(), kAgeNever),
+      bankQueues_(timing.ranks * timing.banksPerRank()),
       banks_(timing.ranks * timing.banksPerRank()),
       ranks_(timing.ranks),
       stats_(name),
@@ -35,13 +35,18 @@ DramChannel::DramChannel(const DramTiming &timing,
         fatal("DRAM channel queue depth must be nonzero");
     qFlat_.reserve(queue_depth);
     qRow_.reserve(queue_depth);
-    qRank_.reserve(queue_depth);
     qPriority_.reserve(queue_depth);
     qWrite_.reserve(queue_depth);
     qAge_.reserve(queue_depth);
     qArrival_.reserve(queue_depth);
     qCausedActivate_.reserve(queue_depth);
     qRequest_.reserve(queue_depth);
+    qOlder_.reserve(queue_depth);
+    qYounger_.reserve(queue_depth);
+    for (std::uint32_t b = 0; b < bankQueues_.size(); ++b)
+        bankQueues_[b].rank = b / timing_.banksPerRank();
+    hitBanks_.resize(bankQueues_.size());
+    missBanks_.resize(bankQueues_.size());
     for (auto &rank : ranks_) {
         rank.actWindow.assign(4, 0);
         rank.refreshDueAt = timing_.tREFI;
@@ -68,70 +73,130 @@ DramChannel::enqueue(const DramRequest &request, Addr local_addr, Cycle now)
     DramCoord coord = mapping_.decode(local_addr);
     qFlat_.push_back(coord.flatBank(timing_));
     qRow_.push_back(coord.row);
-    qRank_.push_back(coord.rank);
     qPriority_.push_back(request.priority ? 1 : 0);
     qWrite_.push_back(request.op == MemOp::Write ? 1 : 0);
     qAge_.push_back(nextAge_++);
     qArrival_.push_back(now);
     qCausedActivate_.push_back(0);
     qRequest_.push_back(request);
+    qOlder_.push_back(kNil);
+    qYounger_.push_back(kNil);
     if (request.priority)
         ++priorityQueued_;
+    linkEntry(queueSize() - 1);
+}
+
+void
+DramChannel::linkEntry(std::size_t i)
+{
+    // Entry i is the youngest of its bank (enqueue; loadState links in
+    // age order), so it is its class's oldest only if the class is empty.
+    const std::uint32_t flat = qFlat_[i];
+    BankQueue &q = bankQueues_[flat];
+    const auto index = static_cast<std::uint32_t>(i);
+    qOlder_[i] = q.youngest;
+    qYounger_[i] = kNil;
+    if (q.youngest != kNil)
+        qYounger_[q.youngest] = index;
+    else
+        q.oldest = index;
+    q.youngest = index;
+    const unsigned cls = classOf(i, banks_[flat].openRow);
+    if (q.oldestAge[cls] == kAgeNever) {
+        q.oldestAge[cls] = qAge_[i];
+        (cls < kHitClasses ? hitBanks_ : missBanks_).set(flat, true);
+    }
+}
+
+void
+DramChannel::updateBankSets(std::uint32_t flat)
+{
+    const BankQueue &q = bankQueues_[flat];
+    hitBanks_.set(flat, q.oldestHit() != kAgeNever);
+    missBanks_.set(flat, std::min(q.oldestAge[kHitClasses],
+                                  q.oldestAge[kHitClasses + 1]) !=
+                             kAgeNever);
+}
+
+void
+DramChannel::reindexBank(std::uint32_t flat)
+{
+    // The bank's open row changed, so which entries are hits changed:
+    // re-derive the class minima from the age-ordered list.
+    BankQueue &q = bankQueues_[flat];
+    std::fill(std::begin(q.oldestAge), std::end(q.oldestAge), kAgeNever);
+    const std::int64_t open_row = banks_[flat].openRow;
+    for (std::uint32_t i = q.oldest; i != kNil; i = qYounger_[i]) {
+        std::uint64_t &oldest = q.oldestAge[classOf(i, open_row)];
+        if (oldest == kAgeNever)
+            oldest = qAge_[i];
+    }
+    updateBankSets(flat);
+}
+
+std::size_t
+DramChannel::findEntry(std::uint32_t flat, std::uint64_t age) const
+{
+    std::uint32_t i = bankQueues_[flat].oldest;
+    while (qAge_[i] != age)
+        i = qYounger_[i];
+    return i;
 }
 
 void
 DramChannel::removeAt(std::size_t i)
 {
+    // Unindex: if i was its class's oldest, the class's next-oldest is
+    // the first younger entry of the same class in the bank's list.
+    const std::uint32_t flat = qFlat_[i];
+    BankQueue &q = bankQueues_[flat];
+    const std::int64_t open_row = banks_[flat].openRow;
+    const unsigned cls = classOf(i, open_row);
+    if (q.oldestAge[cls] == qAge_[i]) {
+        q.oldestAge[cls] = kAgeNever;
+        for (std::uint32_t j = qYounger_[i]; j != kNil; j = qYounger_[j]) {
+            if (classOf(j, open_row) == cls) {
+                q.oldestAge[cls] = qAge_[j];
+                break;
+            }
+        }
+        if (q.oldestAge[cls] == kAgeNever)
+            updateBankSets(flat);
+    }
+    const std::uint32_t older = qOlder_[i];
+    const std::uint32_t younger = qYounger_[i];
+    (older != kNil ? qYounger_[older] : q.oldest) = younger;
+    (younger != kNil ? qOlder_[younger] : q.youngest) = older;
+
     std::size_t last = queueSize() - 1;
     if (i != last) {
         qFlat_[i] = qFlat_[last];
         qRow_[i] = qRow_[last];
-        qRank_[i] = qRank_[last];
         qPriority_[i] = qPriority_[last];
         qWrite_[i] = qWrite_[last];
         qAge_[i] = qAge_[last];
         qArrival_[i] = qArrival_[last];
         qCausedActivate_[i] = qCausedActivate_[last];
         qRequest_[i] = std::move(qRequest_[last]);
+        // The moved entry keeps its list position under its new index.
+        BankQueue &moved = bankQueues_[qFlat_[i]];
+        const auto index = static_cast<std::uint32_t>(i);
+        qOlder_[i] = qOlder_[last];
+        qYounger_[i] = qYounger_[last];
+        (qOlder_[i] != kNil ? qYounger_[qOlder_[i]] : moved.oldest) = index;
+        (qYounger_[i] != kNil ? qOlder_[qYounger_[i]] : moved.youngest) =
+            index;
     }
     qFlat_.pop_back();
     qRow_.pop_back();
-    qRank_.pop_back();
     qPriority_.pop_back();
     qWrite_.pop_back();
     qAge_.pop_back();
     qArrival_.pop_back();
     qCausedActivate_.pop_back();
     qRequest_.pop_back();
-}
-
-bool
-DramChannel::anyHitOnBank(std::uint32_t flat_bank, std::int64_t row) const
-{
-    for (std::size_t i = 0; i < queueSize(); ++i) {
-        if (qFlat_[i] == flat_bank &&
-            static_cast<std::int64_t>(qRow_[i]) == row) {
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-DramChannel::computeMinHitAges() const
-{
-    // For each bank with an open row, the age of the oldest queued hit
-    // on that row. One O(queue) prepass replaces the old per-entry
-    // FIFO-prefix probe (O(queue^2) worst case): under swap-with-back
-    // storage "an older request" means a smaller age, not a smaller
-    // index.
-    std::fill(minHitAge_.begin(), minHitAge_.end(), kAgeNever);
-    for (std::size_t i = 0; i < queueSize(); ++i) {
-        std::uint32_t flat = qFlat_[i];
-        const BankState &bank = banks_[flat];
-        if (bank.openRow == static_cast<std::int64_t>(qRow_[i]))
-            minHitAge_[flat] = std::min(minHitAge_[flat], qAge_[i]);
-    }
+    qOlder_.pop_back();
+    qYounger_.pop_back();
 }
 
 bool
@@ -178,6 +243,8 @@ DramChannel::maybeRefresh(Cycle now)
             bank.openRow = -1;
             bank.nextActivate =
                 std::max(bank.nextActivate, now + timing_.tRFC);
+            if (hitBanks_.test(base + b))
+                reindexBank(base + b);
         }
         rank.refreshingUntil = now + timing_.tRFC;
         rank.refreshDueAt += timing_.tREFI;
@@ -206,60 +273,66 @@ DramChannel::refreshFireCycle(std::uint32_t rank_index) const
 bool
 DramChannel::tryIssueColumn(Cycle now, Cycle *bound)
 {
-    // Selection sweep: FR-FCFS wants the oldest ready row hit, walk
-    // (priority) requests first. Under swap-with-back storage the
-    // sweep tracks the min-age eligible entry per class instead of
-    // returning the first hit in index order — identical choice, one
-    // branch-light pass over the dense arrays. With @p bound set, each
-    // rejected row-hit entry contributes the earliest cycle its column
-    // could issue — the same candidate nextEventCycle() derives — so a
-    // failed scan doubles as the event-bound scan.
-    std::size_t best = kNoEntry;
+    // FR-FCFS wants the oldest ready row hit, walk (priority) requests
+    // first. A hit's eligibility depends only on its bank, rank and
+    // direction, so per hit bank and direction the class's oldest
+    // entry (priority class first) is the only candidate. With @p
+    // bound set, each rejected (bank, direction) contributes the
+    // earliest cycle its column could issue — the same candidate
+    // nextEventCycle() derives — so a failed pass doubles as the
+    // event-bound pass.
+    std::uint32_t best_flat = kNil;
     bool best_priority = false;
     std::uint64_t best_age = kAgeNever;
-    const std::size_t n = queueSize();
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t flat = qFlat_[i];
+    hitBanks_.forEach([&](std::uint32_t flat) {
+        const BankQueue &q = bankQueues_[flat];
         const BankState &bank = banks_[flat];
-        if (bank.openRow != static_cast<std::int64_t>(qRow_[i]))
-            continue;
-        const RankState &rank = ranks_[qRank_[i]];
-        bool is_write = qWrite_[i] != 0;
-        Cycle gate =
-            is_write == lastOpWasWrite_ ? nextColumnSame_ : nextColumnSwitch_;
-        if (now < rank.refreshingUntil || now >= rank.refreshDueAt ||
-            now < bank.nextColumn || now < gate) {
-            if (bound) {
-                // An overdue refresh (now >= refreshDueAt) blocks new
-                // columns so the rank can drain; its exact fire cycle
-                // is the candidate (the old max of already-elapsed
-                // gates degenerated to now + 1 and made the event
-                // scheduler crawl through the drain).
-                Cycle at = now >= rank.refreshDueAt
-                               ? refreshFireCycle(qRank_[i])
-                               : std::max({bank.nextColumn, gate,
-                                           rank.refreshingUntil});
-                *bound = std::min(*bound, std::max(at, now + 1));
+        const RankState &rank = ranks_[q.rank];
+        for (unsigned write = 0; write < 2; ++write) {
+            std::uint64_t prio_age = q.oldestAge[2 | write];
+            std::uint64_t bulk_age = q.oldestAge[write];
+            if (prio_age == kAgeNever && bulk_age == kAgeNever)
+                continue;
+            Cycle gate = (write != 0) == lastOpWasWrite_ ? nextColumnSame_
+                                                        : nextColumnSwitch_;
+            if (now < rank.refreshingUntil || now >= rank.refreshDueAt ||
+                now < bank.nextColumn || now < gate) {
+                if (bound) {
+                    // An overdue refresh (now >= refreshDueAt) blocks new
+                    // columns so the rank can drain; its exact fire
+                    // cycle is the candidate (the max of already-elapsed
+                    // gates would degenerate to now + 1 and make the
+                    // event scheduler crawl through the drain).
+                    Cycle at = now >= rank.refreshDueAt
+                                   ? refreshFireCycle(q.rank)
+                                   : std::max({bank.nextColumn, gate,
+                                               rank.refreshingUntil});
+                    *bound = std::min(*bound, std::max(at, now + 1));
+                }
+                continue;
             }
-            continue;
+            bool priority = prio_age != kAgeNever;
+            std::uint64_t age = priority ? prio_age : bulk_age;
+            if ((priority && !best_priority) ||
+                (priority == best_priority && age < best_age)) {
+                best_flat = flat;
+                best_priority = priority;
+                best_age = age;
+            }
         }
-        bool priority = qPriority_[i] != 0;
-        if (best == kNoEntry || (priority && !best_priority) ||
-            (priority == best_priority && qAge_[i] < best_age)) {
-            best = i;
-            best_priority = priority;
-            best_age = qAge_[i];
-        }
-    }
-    if (best == kNoEntry)
+        return true;
+    });
+    if (best_flat == kNil)
         return false;
 
     // Issue the column command for the selected entry.
-    std::uint32_t flat = qFlat_[best];
+    const std::size_t best = findEntry(best_flat, best_age);
+    const std::uint32_t flat = best_flat;
     BankState &bank = banks_[flat];
     bool is_write = qWrite_[best] != 0;
     if (checker_)
-        checker_->onColumn(qRank_[best], flat, qRow_[best], is_write, now);
+        checker_->onColumn(bankQueues_[flat].rank, flat, qRow_[best],
+                           is_write, now);
     traceCommand(is_write ? "WR" : "RD", now);
     std::uint32_t burst = timing_.burstCycles();
     Cycle bus_gap = std::max<Cycle>(timing_.tCCD, burst);
@@ -286,20 +359,20 @@ DramChannel::tryIssueColumn(Cycle now, Cycle *bound)
     else
         rowHits_.inc();
     queueLatency_.sample(static_cast<double>(now - qArrival_[best]));
-    completionsPush(Completion{done, qRequest_[best]});
-    auto issued_row = static_cast<std::int64_t>(qRow_[best]);
+    completionsPush(done, qRequest_[best]);
     if (qPriority_[best] != 0)
         --priorityQueued_;
     removeAt(best);
 
-    if (timing_.rowPolicy == RowPolicy::Closed &&
-        !anyHitOnBank(flat, issued_row)) {
+    if (timing_.rowPolicy == RowPolicy::Closed && !hitBanks_.test(flat)) {
         // Auto-precharge once no queued request wants this row.
         if (checker_)
             checker_->onAutoPrecharge(flat, bank.nextPrecharge);
         bank.openRow = -1;
         bank.nextActivate = std::max(bank.nextActivate,
                                      bank.nextPrecharge + timing_.tRP);
+        // No hits remain, so every entry already is a non-hit: the
+        // class minima are unchanged.
     }
     return true;
 }
@@ -307,84 +380,87 @@ DramChannel::tryIssueColumn(Cycle now, Cycle *bound)
 bool
 DramChannel::tryIssueRowCommand(Cycle now, Cycle *bound)
 {
-    // Same selection-sweep shape as tryIssueColumn: pick the min-age
-    // (priority-first) entry whose precharge or activate could issue
-    // now; with @p bound set, rejected entries contribute the earliest
-    // cycle their row command could issue (mirroring nextEventCycle).
-    computeMinHitAges();
-    std::size_t best = kNoEntry;
+    // Same shape as tryIssueColumn over the banks with a queued
+    // non-hit: pick the min-age (priority-first) entry whose precharge
+    // or activate could issue now; with @p bound set, rejected banks
+    // contribute the earliest cycle their row command could issue
+    // (mirroring nextEventCycle).
+    std::uint32_t best_flat = kNil;
     bool best_priority = false;
     std::uint64_t best_age = kAgeNever;
-    bool best_is_precharge = false;
-    const std::size_t n = queueSize();
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t flat = qFlat_[i];
+    missBanks_.forEach([&](std::uint32_t flat) {
+        const BankQueue &q = bankQueues_[flat];
         const BankState &bank = banks_[flat];
-        const RankState &rank = ranks_[qRank_[i]];
-        auto row = static_cast<std::int64_t>(qRow_[i]);
-        if (bank.openRow == row)
-            continue; // hit; handled by the column pass
+        const RankState &rank = ranks_[q.rank];
+        // Don't close a row an older request still wants: only non-hits
+        // older than the bank's oldest hit are candidates (a closed
+        // bank has no hits). The older hit contributes its own column
+        // candidate.
+        std::uint64_t limit = q.oldestHit();
+        std::uint64_t prio_age = q.oldestAge[kHitClasses + 1];
+        std::uint64_t bulk_age = q.oldestAge[kHitClasses];
+        if (prio_age > limit)
+            prio_age = kAgeNever;
+        if (bulk_age > limit)
+            bulk_age = kAgeNever;
+        if (prio_age == kAgeNever && bulk_age == kAgeNever)
+            return true;
         bool rank_ok =
             now >= rank.refreshingUntil && now < rank.refreshDueAt;
-        bool is_precharge;
         if (bank.openRow != -1) {
-            // Don't close a row an older request still wants; that
-            // older entry contributes its own column candidate.
-            if (minHitAge_[flat] < qAge_[i])
-                continue;
             if (!rank_ok || now < bank.nextPrecharge) {
                 if (bound) {
                     Cycle at = now >= rank.refreshDueAt
-                                   ? refreshFireCycle(qRank_[i])
+                                   ? refreshFireCycle(q.rank)
                                    : std::max(bank.nextPrecharge,
                                               rank.refreshingUntil);
                     *bound = std::min(*bound, std::max(at, now + 1));
                 }
-                continue;
+                return true;
             }
-            is_precharge = true;
-        } else {
-            if (!rank_ok || now < bank.nextActivate ||
-                !rankCanActivate(rank, now)) {
-                if (bound) {
-                    Cycle oldest = rank.actWindow[rank.actPtr];
-                    Cycle faw = oldest == 0 ? 0 : oldest + timing_.tFAW;
-                    Cycle at = now >= rank.refreshDueAt
-                                   ? refreshFireCycle(qRank_[i])
-                                   : std::max({bank.nextActivate,
-                                               rank.nextActivate, faw,
-                                               rank.refreshingUntil});
-                    *bound = std::min(*bound, std::max(at, now + 1));
-                }
-                continue;
+        } else if (!rank_ok || now < bank.nextActivate ||
+                   !rankCanActivate(rank, now)) {
+            if (bound) {
+                Cycle oldest = rank.actWindow[rank.actPtr];
+                Cycle faw = oldest == 0 ? 0 : oldest + timing_.tFAW;
+                Cycle at = now >= rank.refreshDueAt
+                               ? refreshFireCycle(q.rank)
+                               : std::max({bank.nextActivate,
+                                           rank.nextActivate, faw,
+                                           rank.refreshingUntil});
+                *bound = std::min(*bound, std::max(at, now + 1));
             }
-            is_precharge = false;
+            return true;
         }
-        bool priority = qPriority_[i] != 0;
-        if (best == kNoEntry || (priority && !best_priority) ||
-            (priority == best_priority && qAge_[i] < best_age)) {
-            best = i;
+        bool priority = prio_age != kAgeNever;
+        std::uint64_t age = priority ? prio_age : bulk_age;
+        if ((priority && !best_priority) ||
+            (priority == best_priority && age < best_age)) {
+            best_flat = flat;
             best_priority = priority;
-            best_age = qAge_[i];
-            best_is_precharge = is_precharge;
+            best_age = age;
         }
-    }
-    if (best == kNoEntry)
+        return true;
+    });
+    if (best_flat == kNil)
         return false;
 
-    std::uint32_t flat = qFlat_[best];
+    const std::uint32_t flat = best_flat;
     BankState &bank = banks_[flat];
-    if (best_is_precharge) {
+    if (bank.openRow != -1) {
         if (checker_)
             checker_->onPrecharge(flat, now);
         traceCommand("PRE", now);
         bank.openRow = -1;
         bank.nextActivate = std::max(bank.nextActivate, now + timing_.tRP);
+        reindexBank(flat);
         return true;
     }
-    RankState &rank = ranks_[qRank_[best]];
+    const std::size_t best = findEntry(flat, best_age);
+    const std::uint32_t rank_index = bankQueues_[flat].rank;
+    RankState &rank = ranks_[rank_index];
     if (checker_)
-        checker_->onActivate(qRank_[best], flat, qRow_[best], now);
+        checker_->onActivate(rank_index, flat, qRow_[best], now);
     traceCommand("ACT", now);
     bank.openRow = static_cast<std::int64_t>(qRow_[best]);
     bank.nextColumn = now + timing_.tRCD;
@@ -392,6 +468,7 @@ DramChannel::tryIssueRowCommand(Cycle now, Cycle *bound)
     recordActivate(rank, now);
     activates_.inc();
     qCausedActivate_[best] = 1;
+    reindexBank(flat);
     return true;
 }
 
@@ -436,10 +513,10 @@ bool
 DramChannel::tick(Cycle now)
 {
     while (!completions_.empty() && completionsTop().at <= now) {
-        Completion done = completionsTop();
-        completionsPop();
+        Cycle at = completionsTop().at;
+        DramRequest request = completionsPop();
         if (callback_)
-            callback_(done.request, done.at);
+            callback_(request, at);
     }
     Cycle bound = kCycleNever;
     if (!completions_.empty())
@@ -505,43 +582,51 @@ DramChannel::nextEventCycle(Cycle now) const
         next = std::min(next, std::max(at, now + 1));
     };
 
-    // One candidate per queued request: the earliest cycle whichever
-    // command FR-FCFS would issue for it next could go out. A rank
-    // with an overdue refresh contributes the refresh's exact fire
-    // cycle instead — nothing can issue on it until the REF (itself a
-    // state change) goes out. No candidate can clamp below now + 1, so
-    // the scan stops the moment one reaches it — during busy streaming
-    // the first entry usually does, making the common-case bound O(1).
-    computeMinHitAges();
-    for (std::size_t i = 0; i < queueSize() && next > now + 1; ++i) {
-        std::uint32_t flat = qFlat_[i];
-        const BankState &bank = banks_[flat];
-        const RankState &rank = ranks_[qRank_[i]];
-        if (now >= rank.refreshDueAt) {
-            consider(refreshFireCycle(qRank_[i]));
-            continue;
-        }
-        if (bank.openRow == static_cast<std::int64_t>(qRow_[i])) {
-            bool is_write = qWrite_[i] != 0;
-            Cycle gate = is_write == lastOpWasWrite_ ? nextColumnSame_
-                                                     : nextColumnSwitch_;
-            consider(std::max({bank.nextColumn, gate,
-                               rank.refreshingUntil}));
-        } else if (bank.openRow != -1) {
-            // No precharge while an older request still wants the open
-            // row; that older entry contributes its own column
-            // candidate, and queue order only changes at visited
-            // cycles, so skipping the candidate cannot overshoot.
-            if (minHitAge_[flat] >= qAge_[i])
+    // Per bank with queued work, the earliest cycle each command
+    // FR-FCFS would issue for one of its entries next could go out: a
+    // column per direction with a queued hit, and a precharge or
+    // activate for the non-hits older than the bank's oldest hit. A
+    // rank with an overdue refresh contributes the refresh's exact
+    // fire cycle instead — nothing can issue on it until the REF
+    // (itself a state change) goes out. No candidate can clamp below
+    // now + 1, so the pass stops the moment one reaches it.
+    hitBanks_.forEach(
+        [&](std::uint32_t flat) {
+            const BankQueue &q = bankQueues_[flat];
+            const BankState &bank = banks_[flat];
+            const RankState &rank = ranks_[q.rank];
+            if (now >= rank.refreshDueAt) {
+                consider(refreshFireCycle(q.rank));
+                return next > now + 1;
+            }
+            for (unsigned write = 0; write < 2; ++write) {
+                if (q.oldestAge[write] == kAgeNever &&
+                    q.oldestAge[2 | write] == kAgeNever)
+                    continue;
+                Cycle gate = (write != 0) == lastOpWasWrite_
+                                 ? nextColumnSame_
+                                 : nextColumnSwitch_;
+                consider(std::max({bank.nextColumn, gate,
+                                   rank.refreshingUntil}));
+            }
+            std::uint64_t oldest_miss = std::min(
+                q.oldestAge[kHitClasses], q.oldestAge[kHitClasses + 1]);
+            if (bank.openRow == -1) {
+                Cycle oldest = rank.actWindow[rank.actPtr];
+                Cycle faw = oldest == 0 ? 0 : oldest + timing_.tFAW;
+                consider(std::max({bank.nextActivate, rank.nextActivate,
+                                   faw, rank.refreshingUntil}));
+            } else if (oldest_miss < q.oldestHit()) {
+                // No precharge while an older request still wants the
+                // open row; that older entry contributes its own column
+                // candidate, and queue order only changes at visited
+                // cycles, so skipping the candidate cannot overshoot.
                 consider(std::max(bank.nextPrecharge,
                                   rank.refreshingUntil));
-        } else {
-            Cycle oldest = rank.actWindow[rank.actPtr];
-            Cycle faw = oldest == 0 ? 0 : oldest + timing_.tFAW;
-            consider(std::max({bank.nextActivate, rank.nextActivate, faw,
-                               rank.refreshingUntil}));
-        }
-    }
+            }
+            return next > now + 1;
+        },
+        &missBanks_);
     if (next == now + 1)
         return next;
 
@@ -565,7 +650,7 @@ DramChannel::saveState(StateWriter &out) const
     for (std::size_t i = 0; i < queueSize(); ++i) {
         out.u32(qFlat_[i]);
         out.u64(qRow_[i]);
-        out.u32(qRank_[i]);
+        out.u32(bankQueues_[qFlat_[i]].rank);
         out.u8(qPriority_[i]);
         out.u8(qWrite_[i]);
         out.u64(qAge_[i]);
@@ -587,14 +672,15 @@ DramChannel::saveState(StateWriter &out) const
     // the same heap, so equal-`at` completions pop in the same order.
     out.u64(completions_.size());
     for (const Completion &done : completions_) {
+        const DramRequest &req = completionPool_[done.slot];
         out.u64(done.at);
-        out.u64(done.request.paddr);
-        out.u8(done.request.op == MemOp::Write ? 1 : 0);
-        out.u32(done.request.core);
-        out.u64(done.request.tag);
-        out.b(done.request.priority);
-        out.u64(done.request.integrityId);
-        out.u64(done.request.enqueuedAt);
+        out.u64(req.paddr);
+        out.u8(req.op == MemOp::Write ? 1 : 0);
+        out.u32(req.core);
+        out.u64(req.tag);
+        out.b(req.priority);
+        out.u64(req.integrityId);
+        out.u64(req.enqueuedAt);
     }
 
     for (const BankState &bank : banks_) {
@@ -631,7 +717,6 @@ DramChannel::loadState(StateReader &in)
         throw SnapshotError("DRAM channel queue overflows its depth");
     qFlat_.resize(n);
     qRow_.resize(n);
-    qRank_.resize(n);
     qPriority_.resize(n);
     qWrite_.resize(n);
     qAge_.resize(n);
@@ -643,8 +728,7 @@ DramChannel::loadState(StateReader &in)
         if (qFlat_[i] >= banks_.size())
             throw SnapshotError("DRAM queue entry names a bad bank");
         qRow_[i] = in.u64();
-        qRank_[i] = in.u32();
-        if (qRank_[i] >= ranks_.size())
+        if (in.u32() != bankQueues_[qFlat_[i]].rank)
             throw SnapshotError("DRAM queue entry names a bad rank");
         qPriority_[i] = in.u8();
         qWrite_[i] = in.u8();
@@ -663,16 +747,22 @@ DramChannel::loadState(StateReader &in)
     nextAge_ = in.u64();
     priorityQueued_ = in.u32();
 
-    completions_.resize(in.u64());
-    for (Completion &done : completions_) {
+    std::uint64_t num_done = in.u64();
+    completions_.resize(num_done);
+    completionPool_.assign(num_done, DramRequest{});
+    freeSlots_.clear();
+    for (std::uint32_t i = 0; i < num_done; ++i) {
+        Completion &done = completions_[i];
+        DramRequest &req = completionPool_[i];
         done.at = in.u64();
-        done.request.paddr = in.u64();
-        done.request.op = in.u8() != 0 ? MemOp::Write : MemOp::Read;
-        done.request.core = in.u32();
-        done.request.tag = in.u64();
-        done.request.priority = in.b();
-        done.request.integrityId = in.u64();
-        done.request.enqueuedAt = in.u64();
+        done.slot = i;
+        req.paddr = in.u64();
+        req.op = in.u8() != 0 ? MemOp::Write : MemOp::Read;
+        req.core = in.u32();
+        req.tag = in.u64();
+        req.priority = in.b();
+        req.integrityId = in.u64();
+        req.enqueuedAt = in.u64();
     }
 
     for (BankState &bank : banks_) {
@@ -698,6 +788,27 @@ DramChannel::loadState(StateReader &in)
     lastOpWasWrite_ = in.b();
     boundAfterTick_ = in.u64();
     stats_.loadState(in);
+
+    // Rebuild the derived queue index: link every entry into its
+    // bank's list in age order.
+    for (BankQueue &q : bankQueues_) {
+        q.oldest = q.youngest = kNil;
+        std::fill(std::begin(q.oldestAge), std::end(q.oldestAge),
+                  kAgeNever);
+    }
+    hitBanks_.resize(bankQueues_.size());
+    missBanks_.resize(bankQueues_.size());
+    qOlder_.assign(n, kNil);
+    qYounger_.assign(n, kNil);
+    std::vector<std::uint32_t> by_age(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        by_age[i] = i;
+    std::sort(by_age.begin(), by_age.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return qAge_[a] < qAge_[b];
+              });
+    for (std::uint32_t i : by_age)
+        linkEntry(i);
 }
 
 } // namespace mnpu

@@ -8,21 +8,37 @@
  * command, preferring the oldest ready row-buffer hit and otherwise
  * working on the oldest request (precharge/activate path).
  *
- * The request queue is stored struct-of-arrays: the issue and bound
- * scans touch only the small parallel arrays (flat bank, row, age,
- * priority) that decide eligibility, so a scan streams through a few
- * dense cache lines instead of striding over 80-byte AoS entries, and
- * removal is an O(1) swap-with-back instead of the old O(n) mid-deque
- * erase. FR-FCFS arrival order is preserved by an explicit monotonic
- * age per entry (selection picks the min-age eligible entry, priority
- * pass first), which the golden suites verify is bit-identical to the
- * previous in-order scan.
+ * The request queue is stored struct-of-arrays (flat bank, row, age,
+ * priority, ... in parallel arrays; removal is an O(1) swap-with-back)
+ * and is the source of truth. On top of it the channel keeps an
+ * incremental index, so issue and bound work scales with the banks
+ * that have work rather than with the queue length:
+ *
+ *  - per flat bank, its entries linked in age (arrival) order, and
+ *    the age of the oldest entry in each of six classes: a hit on the
+ *    bank's open row per (priority, read/write), and a non-hit per
+ *    priority;
+ *  - one bitmask of banks holding a queued hit on their open row and
+ *    one of banks holding a queued non-hit.
+ *
+ * Eligibility of a command depends only on (bank, rank, read/write),
+ * so the oldest entry of a class stands for the whole class: the
+ * column pass visits the hit banks, the row-command pass the non-hit
+ * banks, and each picks the min-age eligible entry, priority first —
+ * the same choice and the same event bounds as a full scan of the
+ * queue. enqueue and column issue update the class ages in place;
+ * ACT, PRE and REF change which entries are hits, so they re-derive
+ * the affected banks from their lists (closed-policy auto-precharge
+ * fires only on a bank with no queued hit, which changes nothing).
+ * The index is derived state: loadState rebuilds it and saveState
+ * never writes it.
  */
 
 #ifndef MNPU_DRAM_DRAM_CHANNEL_HH
 #define MNPU_DRAM_DRAM_CHANNEL_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -217,7 +233,9 @@ class DramChannel
      * array order (so the swap-with-back layout and FCFS age
      * tie-breaks restore exactly), the completion heap array verbatim,
      * bank/rank state machines, the column turnaround gates, and the
-     * stats group. Geometry (bank/rank counts, queue depth) is
+     * stats group. The per-bank queue index is derived state: it is
+     * not written, and loadState rebuilds it from the restored queue
+     * and bank state. Geometry (bank/rank counts, queue depth) is
      * cross-checked on load and throws SnapshotError on mismatch.
      */
     void saveState(StateWriter &out) const;
@@ -229,8 +247,6 @@ class DramChannel
     static constexpr std::size_t kSharpBoundQueueLimit = 4;
     static constexpr std::uint64_t kAgeNever =
         std::numeric_limits<std::uint64_t>::max();
-    static constexpr std::size_t kNoEntry =
-        std::numeric_limits<std::size_t>::max();
 
     struct BankState
     {
@@ -252,7 +268,7 @@ class DramChannel
     struct Completion
     {
         Cycle at;
-        DramRequest request;
+        std::uint32_t slot; //!< the request's index in completionPool_
         bool operator>(const Completion &other) const
         {
             return at > other.at;
@@ -265,27 +281,118 @@ class DramChannel
     // heap algorithms — the retire order, including ties on `at`, is
     // unchanged (the golden fixtures pin this) — but the explicit
     // array can be serialized verbatim, so a restored heap pops in
-    // exactly the order the snapshotted one would have.
+    // exactly the order the snapshotted one would have. Heap entries
+    // are (cycle, slot) pairs and the requests sit still in a slot
+    // pool, so sifting moves 16 bytes per step instead of a request.
     const Completion &completionsTop() const { return completions_.front(); }
     void
-    completionsPush(Completion done)
+    completionsPush(Cycle at, const DramRequest &request)
     {
-        completions_.push_back(std::move(done));
+        std::uint32_t slot;
+        if (freeSlots_.empty()) {
+            slot = static_cast<std::uint32_t>(completionPool_.size());
+            completionPool_.push_back(request);
+        } else {
+            slot = freeSlots_.back();
+            freeSlots_.pop_back();
+            completionPool_[slot] = request;
+        }
+        completions_.push_back(Completion{at, slot});
         std::push_heap(completions_.begin(), completions_.end(),
                        std::greater<Completion>{});
     }
-    void
+    /** Pop the earliest completion; @return its request. */
+    DramRequest
     completionsPop()
     {
+        std::uint32_t slot = completions_.front().slot;
         std::pop_heap(completions_.begin(), completions_.end(),
                       std::greater<Completion>{});
         completions_.pop_back();
+        freeSlots_.push_back(slot);
+        return completionPool_[slot];
     }
 
     std::size_t queueSize() const { return qFlat_.size(); }
     void removeAt(std::size_t i);
-    bool anyHitOnBank(std::uint32_t flat_bank, std::int64_t row) const;
-    void computeMinHitAges() const;
+
+    // --- queue index (derived from the SoA arrays and bank state) ---
+    static constexpr std::uint32_t kNil =
+        std::numeric_limits<std::uint32_t>::max();
+    /** Classes 0..3: hit on the open row, (priority << 1) | write;
+     *  classes 4..5: non-hit, 4 + priority. */
+    static constexpr unsigned kHitClasses = 4;
+    static constexpr unsigned kClasses = 6;
+
+    /** One bit per flat bank. */
+    class BankSet
+    {
+      public:
+        void resize(std::size_t banks) { words_.assign((banks + 63) / 64, 0); }
+        void
+        set(std::uint32_t bank, bool on)
+        {
+            std::uint64_t bit = std::uint64_t{1} << (bank % 64);
+            if (on)
+                words_[bank / 64] |= bit;
+            else
+                words_[bank / 64] &= ~bit;
+        }
+        bool test(std::uint32_t bank) const
+        {
+            return (words_[bank / 64] >> (bank % 64)) & 1;
+        }
+        /** Calls @p visit(bank) in bank order for every bank in this
+         *  set or in @p also; stops early when visit returns false. */
+        template <typename Visit>
+        void
+        forEach(Visit &&visit, const BankSet *also = nullptr) const
+        {
+            for (std::size_t w = 0; w < words_.size(); ++w) {
+                std::uint64_t bits = words_[w] | (also ? also->words_[w] : 0);
+                while (bits != 0) {
+                    auto bank = static_cast<std::uint32_t>(
+                        w * 64 +
+                        static_cast<unsigned>(std::countr_zero(bits)));
+                    bits &= bits - 1;
+                    if (!visit(bank))
+                        return;
+                }
+            }
+        }
+
+      private:
+        std::vector<std::uint64_t> words_;
+    };
+
+    /** Per flat bank: its queued entries in age order, class minima. */
+    struct BankQueue
+    {
+        std::uint32_t rank = 0;
+        std::uint32_t oldest = kNil;   //!< queue index, head of the list
+        std::uint32_t youngest = kNil; //!< queue index, tail of the list
+        /** Per class; kAgeNever = no queued entry of the class. */
+        std::uint64_t oldestAge[kClasses] = {kAgeNever, kAgeNever,
+                                             kAgeNever, kAgeNever,
+                                             kAgeNever, kAgeNever};
+
+        std::uint64_t oldestHit() const
+        {
+            return std::min({oldestAge[0], oldestAge[1], oldestAge[2],
+                             oldestAge[3]});
+        }
+    };
+
+    unsigned classOf(std::size_t i, std::int64_t open_row) const
+    {
+        if (static_cast<std::int64_t>(qRow_[i]) == open_row)
+            return (unsigned{qPriority_[i]} << 1) | qWrite_[i];
+        return kHitClasses + qPriority_[i];
+    }
+    void linkEntry(std::size_t i);
+    void updateBankSets(std::uint32_t flat);
+    void reindexBank(std::uint32_t flat);
+    std::size_t findEntry(std::uint32_t flat, std::uint64_t age) const;
 
     bool rankCanActivate(const RankState &rank, Cycle now) const;
     void recordActivate(RankState &rank, Cycle now);
@@ -303,13 +410,12 @@ class DramChannel
     /**
      * The request queue, struct-of-arrays. Entries are unordered in
      * memory (removal swaps with the back); qAge_ carries the FCFS
-     * arrival order the scheduler's tie-breaks need. The scans' hot
-     * fields (flat bank, row, priority, age) live in their own dense
-     * arrays; the full DramRequest is only touched at issue time.
+     * arrival order the scheduler's tie-breaks need, and the per-bank
+     * lists below link each bank's entries in that order. The full
+     * DramRequest is only touched at issue time.
      */
     std::vector<std::uint32_t> qFlat_;   //!< cached coord.flatBank()
     std::vector<std::uint64_t> qRow_;
-    std::vector<std::uint32_t> qRank_;
     std::vector<std::uint8_t> qPriority_;
     std::vector<std::uint8_t> qWrite_;
     std::vector<std::uint64_t> qAge_;    //!< monotonic arrival order
@@ -319,11 +425,15 @@ class DramChannel
     std::uint64_t nextAge_ = 0;
     std::uint32_t priorityQueued_ = 0; //!< priority entries queued
 
-    /** Per-flat-bank min age of a queued hit on the bank's open row;
-     *  scratch for the scans (computeMinHitAges). */
-    mutable std::vector<std::uint64_t> minHitAge_;
+    std::vector<std::uint32_t> qOlder_;   //!< same-bank neighbours in
+    std::vector<std::uint32_t> qYounger_; //!< age order (kNil at ends)
+    std::vector<BankQueue> bankQueues_;
+    BankSet hitBanks_;  //!< banks with a queued hit on their open row
+    BankSet missBanks_; //!< banks with a queued non-hit
 
     std::vector<Completion> completions_; //!< min-heap by `at`
+    std::vector<DramRequest> completionPool_;
+    std::vector<std::uint32_t> freeSlots_; //!< unused completionPool_ slots
 
     std::vector<BankState> banks_;
     std::vector<RankState> ranks_;

@@ -263,35 +263,48 @@ runGoldenResumed(const GoldenCase &golden, SchedulerKind sched,
 }
 
 void
-expectGoldenResumeEquivalence(SchedulerKind sched)
+expectGoldenResumeEquivalence(const GoldenCase &golden, SchedulerKind sched)
 {
-    for (const GoldenCase &golden : goldenCases()) {
-        const SweepCheckpointRecord clean = runGoldenCase(golden, sched);
-        ASSERT_GT(clean.globalCycles, 16u) << golden.name;
-        Cycle resumed_at = 0;
-        const SweepCheckpointRecord resumed = runGoldenResumed(
-            golden, sched, FidelityKind::Exact, clean.globalCycles,
-            &resumed_at);
-        EXPECT_GT(resumed_at, 0u)
-            << golden.name << ": resumed run restarted from zero";
-        EXPECT_LT(resumed_at, clean.globalCycles) << golden.name;
-        EXPECT_EQ(describeGoldenDiff(clean, resumed), "")
-            << golden.name;
-        // Byte-identical serialized telemetry, not just field-equal.
-        EXPECT_EQ(goldenFixtureText(clean), goldenFixtureText(resumed))
-            << golden.name;
-    }
+    const SweepCheckpointRecord clean = runGoldenCase(golden, sched);
+    ASSERT_GT(clean.globalCycles, 16u) << golden.name;
+    Cycle resumed_at = 0;
+    const SweepCheckpointRecord resumed = runGoldenResumed(
+        golden, sched, FidelityKind::Exact, clean.globalCycles,
+        &resumed_at);
+    EXPECT_GT(resumed_at, 0u)
+        << golden.name << ": resumed run restarted from zero";
+    EXPECT_LT(resumed_at, clean.globalCycles) << golden.name;
+    EXPECT_EQ(describeGoldenDiff(clean, resumed), "") << golden.name;
+    // Byte-identical serialized telemetry, not just field-equal.
+    EXPECT_EQ(goldenFixtureText(clean), goldenFixtureText(resumed))
+        << golden.name;
 }
 
-TEST(SnapshotResumeTest, GoldenMixesBitIdenticalCycleScheduler)
+/** One case per golden mix, so a parallel ctest run spreads them. */
+class SnapshotResumeGolden : public testing::TestWithParam<GoldenCase>
 {
-    expectGoldenResumeEquivalence(SchedulerKind::Cycle);
+};
+
+TEST_P(SnapshotResumeGolden, BitIdenticalCycleScheduler)
+{
+    expectGoldenResumeEquivalence(GetParam(), SchedulerKind::Cycle);
 }
 
-TEST(SnapshotResumeTest, GoldenMixesBitIdenticalEventScheduler)
+TEST_P(SnapshotResumeGolden, BitIdenticalEventScheduler)
 {
-    expectGoldenResumeEquivalence(SchedulerKind::Event);
+    expectGoldenResumeEquivalence(GetParam(), SchedulerKind::Event);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllGoldenCases, SnapshotResumeGolden, testing::ValuesIn(goldenCases()),
+    [](const testing::TestParamInfo<GoldenCase> &info) {
+        std::string name = info.param.name;
+        for (char &c : name) {
+            if (c == '-')
+                c = '_';
+        }
+        return name;
+    });
 
 TEST(SnapshotResumeTest, FastFidelityResumeMatchesCleanFastRun)
 {
