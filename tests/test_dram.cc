@@ -9,6 +9,7 @@
 
 #include <limits>
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "common/logging.hh"
@@ -610,6 +611,14 @@ struct DrainCase
     std::uint32_t queueDepth;
     std::uint32_t requests;
 };
+
+/** Print a case by its fields, so test names do not embed a pointer. */
+void
+PrintTo(const DrainCase &drain_case, std::ostream *os)
+{
+    *os << drain_case.preset << " queue " << drain_case.queueDepth
+        << " requests " << drain_case.requests;
+}
 
 class ChannelDrainTest : public ::testing::TestWithParam<DrainCase>
 {

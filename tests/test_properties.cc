@@ -6,6 +6,8 @@
  * bit-exact determinism at every sharing level.
  */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "sim/multi_core_system.hh"
@@ -57,6 +59,13 @@ struct TimingKnob
     const char *name;
     std::uint32_t DramTiming::*field;
 };
+
+/** Print a knob by its name, so test names do not embed a pointer. */
+void
+PrintTo(const TimingKnob &knob, std::ostream *os)
+{
+    *os << knob.name;
+}
 
 class DramTimingMonotoneTest
     : public ::testing::TestWithParam<TimingKnob>
