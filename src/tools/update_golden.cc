@@ -21,8 +21,13 @@
  * DramSystem, one JSON line per case. Same dry-run/--update-golden
  * semantics.
  *
+ * With --snapshot-digests the tool maintains the snapshot wire-format
+ * fixture (tests/golden/snapshot_digests.json): the payload length and
+ * checksum of the first snapshot of every golden case, exact and fast,
+ * one JSON line each. Same dry-run/--update-golden semantics.
+ *
  * Usage: update_golden [--update-golden] [--envelope] [--dram-streams]
- *                      [--dir PATH] [--case NAME]
+ *                      [--snapshot-digests] [--dir PATH] [--case NAME]
  *   --dir PATH   fixture directory (default: tests/golden next to the
  *                source tree, baked in at configure time)
  *   --case NAME  restrict to one golden case (fixture mode only)
@@ -66,6 +71,7 @@ main(int argc, char **argv)
     bool update = false;
     bool envelope = false;
     bool dram_streams = false;
+    bool snapshot_digests = false;
     std::string dir = MNPU_GOLDEN_DIR;
     std::string only;
     for (int i = 1; i < argc; ++i) {
@@ -76,6 +82,8 @@ main(int argc, char **argv)
             envelope = true;
         } else if (arg == "--dram-streams") {
             dram_streams = true;
+        } else if (arg == "--snapshot-digests") {
+            snapshot_digests = true;
         } else if (arg == "--dir" && i + 1 < argc) {
             dir = argv[++i];
         } else if (arg == "--case" && i + 1 < argc) {
@@ -83,7 +91,8 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: %s [--update-golden] [--envelope] "
-                         "[--dram-streams] [--dir PATH] [--case NAME]\n",
+                         "[--dram-streams] [--snapshot-digests] "
+                         "[--dir PATH] [--case NAME]\n",
                          argv[0]);
             return 2;
         }
@@ -152,6 +161,25 @@ main(int argc, char **argv)
         }
         return refreshWhole("dram_command_streams",
                             dramStreamFixturePath(dir), fresh);
+    }
+
+    if (snapshot_digests) {
+        std::string fresh;
+        for (const GoldenCase &golden : goldenCases()) {
+            for (FidelityKind fidelity :
+                 {FidelityKind::Exact, FidelityKind::Fast}) {
+                try {
+                    fresh += snapshotDigestLine(
+                        measureSnapshotDigest(golden, fidelity));
+                } catch (const std::exception &error) {
+                    std::fprintf(stderr, "%-32s ERROR: %s\n",
+                                 golden.name.c_str(), error.what());
+                    return 1;
+                }
+            }
+        }
+        return refreshWhole("snapshot_digests", snapshotDigestPath(dir),
+                            fresh);
     }
 
     int stale = 0;
