@@ -8,8 +8,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <thread>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -31,6 +32,12 @@ secondsSince(SteadyClock::time_point start)
     return std::chrono::duration<double>(SteadyClock::now() - start)
         .count();
 }
+
+/** Longest the supervisor blocks before re-reading the stop token. */
+constexpr std::chrono::milliseconds kStopCheckInterval{50};
+
+/** SIGTERM grace for cancelled workers before SIGKILL. */
+constexpr std::chrono::seconds kCancelGrace{2};
 
 std::atomic<int> g_isolation_default{-1};
 
@@ -306,6 +313,10 @@ ProcessPool::run(std::size_t count, const Worker &worker,
         double wallBudget = 0;
         double deadline = 0; //!< seconds; 0 = none
         long scratchSize = 0; //!< last seen size (heartbeat liveness)
+        /** Read end of the exit pipe; only the child holds the write
+         * end, so EOF here means the child has exited. */
+        int exitFd = -1;
+        bool exited = false; //!< EOF seen; waiting for waitpid
     };
 
     std::vector<JobState> jobs(count);
@@ -342,6 +353,12 @@ ProcessPool::run(std::size_t count, const Worker &worker,
         if (!scratch)
             fatal("process pool: cannot create worker scratch file: ",
                   std::strerror(errno));
+        int exitPipe[2];
+        if (::pipe2(exitPipe, O_CLOEXEC) != 0) {
+            std::fclose(scratch);
+            fatal("process pool: cannot create worker exit pipe: ",
+                  std::strerror(errno));
+        }
         // Flush stdio before forking so buffered output is not
         // duplicated into the child's exit path.
         std::fflush(stdout);
@@ -349,12 +366,25 @@ ProcessPool::run(std::size_t count, const Worker &worker,
         const pid_t pid = ::fork();
         if (pid < 0) {
             std::fclose(scratch);
+            ::close(exitPipe[0]);
+            ::close(exitPipe[1]);
             fatal("process pool: fork failed: ", std::strerror(errno));
         }
-        if (pid == 0)
+        if (pid == 0) {
+            // The child keeps only its own write end, open until it
+            // exits; the read ends (its own and its siblings') are
+            // the supervisor's.
+            ::close(exitPipe[0]);
+            for (const Lease &sibling : leases)
+                ::close(sibling.exitFd);
             runChild(scratch, index, attempt, wallBudget, worker,
                      options_); // never returns
+        }
+        // Dropped right after the fork, so no later sibling inherits
+        // it: the child is then the pipe's only writer.
+        ::close(exitPipe[1]);
         Lease lease;
+        lease.exitFd = exitPipe[0];
         lease.index = index;
         lease.attempt = attempt;
         lease.pid = pid;
@@ -374,6 +404,7 @@ ProcessPool::run(std::size_t count, const Worker &worker,
                            bool deadlineExceeded) {
         ScratchResult scratch = readScratch(lease.scratch);
         std::fclose(lease.scratch);
+        ::close(lease.exitFd);
         Outcome &outcome = outcomes[lease.index];
         outcome.attempts = lease.attempt;
         if (cancelling) {
@@ -420,6 +451,54 @@ ProcessPool::run(std::size_t count, const Worker &worker,
         finishJob(lease.index);
     };
 
+    // Block until a worker exits (EOF on its exit pipe) or the next
+    // timed event is due: a lease deadline, a backoff expiry, the
+    // SIGKILL escalation after a cancel, or the stop-token check cap.
+    // A signal to the supervisor interrupts the wait too.
+    std::vector<pollfd> pollFds;
+    auto waitForEvent = [&]() {
+        const auto now = SteadyClock::now();
+        auto wake = now + kStopCheckInterval;
+        pollFds.clear();
+        for (const Lease &lease : leases) {
+            if (lease.exited) {
+                // EOF can precede the child becoming reapable by a
+                // moment; retry waitpid shortly.
+                wake = std::min(wake, now + std::chrono::milliseconds(1));
+                continue;
+            }
+            pollFds.push_back(pollfd{lease.exitFd, POLLIN, 0});
+            if (!cancelling && lease.deadline > 0) {
+                wake = std::min(
+                    wake, lease.start +
+                              std::chrono::duration_cast<
+                                  SteadyClock::duration>(
+                                  std::chrono::duration<double>(
+                                      lease.deadline)));
+            }
+        }
+        if (cancelling && !killedAfterCancel && !leases.empty())
+            wake = std::min(wake, cancelledAt + kCancelGrace);
+        if (!cancelling && leases.size() < options_.workers) {
+            for (std::size_t index : queue)
+                wake = std::min(wake, jobs[index].readyAt);
+        }
+        const auto waitMs =
+            std::chrono::ceil<std::chrono::milliseconds>(wake - now)
+                .count();
+        const int timeout = static_cast<int>(std::max<long long>(
+            0, static_cast<long long>(waitMs)));
+        if (::poll(pollFds.data(), pollFds.size(), timeout) <= 0)
+            return; // timed out, or interrupted by a signal
+        std::size_t next = 0;
+        for (Lease &lease : leases) {
+            if (lease.exited)
+                continue;
+            if (pollFds[next++].revents != 0)
+                lease.exited = true;
+        }
+    };
+
     while (finished < count) {
         // Cooperative stop: forward the signal to live workers and
         // report everything not yet finished as cancelled.
@@ -440,7 +519,7 @@ ProcessPool::run(std::size_t count, const Worker &worker,
             }
         }
         if (cancelling && !killedAfterCancel && !leases.empty() &&
-            secondsSince(cancelledAt) > 2.0) {
+            SteadyClock::now() - cancelledAt >= kCancelGrace) {
             // A worker stuck in uninterruptible state outlives the
             // SIGTERM grace; escalate so cancellation stays prompt.
             killedAfterCancel = true;
@@ -510,7 +589,7 @@ ProcessPool::run(std::size_t count, const Worker &worker,
         }
 
         if (finished < count)
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            waitForEvent();
     }
     return outcomes;
 }

@@ -29,9 +29,15 @@
  *    no "key", so the record parser naturally skips it — then the
  *    result line, then _exit()s (never exit(): static destructors of
  *    the forked image must not run twice).
- *  - The supervisor is a single-threaded poll loop (waitpid WNOHANG +
- *    short sleeps): no supervision threads means fork() never races a
- *    lock-holding sibling thread.
+ *  - The supervisor is single-threaded: no supervision threads means
+ *    fork() never races a lock-holding sibling thread. Each lease
+ *    holds the read end of an exit pipe whose only write end lives in
+ *    its child, so the pipe reads EOF the moment the child exits. The
+ *    supervisor blocks in poll() on those read ends until a child
+ *    exits or the next timed event is due (a lease deadline, a
+ *    backoff expiry, the SIGKILL escalation after a cancel, or a
+ *    short cap for re-reading the stop token), then reaps with
+ *    waitpid(WNOHANG).
  */
 
 #ifndef MNPU_ANALYSIS_PROCESS_POOL_HH

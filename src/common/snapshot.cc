@@ -57,6 +57,26 @@ getLe64(const char *p)
     return v;
 }
 
+/** Write all @p size bytes to @p fd, retrying short and interrupted
+ *  writes; false (errno set) on failure. */
+bool
+writeAll(int fd, const char *data, std::size_t size)
+{
+    while (size > 0) {
+        const ssize_t wrote = ::write(fd, data, size);
+        if (wrote <= 0) {
+            if (wrote < 0 && errno == EINTR)
+                continue;
+            if (wrote == 0)
+                errno = EIO;
+            return false;
+        }
+        data += wrote;
+        size -= static_cast<std::size_t>(wrote);
+    }
+    return true;
+}
+
 /** Flush + fsync a directory so the rename itself is durable. */
 void
 fsyncParentDir(const std::string &path)
@@ -87,45 +107,14 @@ snapshotChecksum(const void *data, std::size_t size)
 }
 
 void
-StateWriter::u32(std::uint32_t v)
+StateWriter::u64s(const std::uint64_t *v, std::size_t n)
 {
-    putLe32(bytes_, v);
-}
-
-void
-StateWriter::u64(std::uint64_t v)
-{
-    putLe64(bytes_, v);
-}
-
-void
-StateWriter::d(double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-}
-
-void
-StateWriter::str(const std::string &s)
-{
-    u64(s.size());
-    bytes_.append(s);
-}
-
-void
-StateWriter::section(const char (&tag)[5])
-{
-    bytes_.append(tag, 4);
-}
-
-void
-StateWriter::u64Vec(const std::vector<std::uint64_t> &v)
-{
-    u64(v.size());
-    for (std::uint64_t x : v)
-        u64(x);
+    if constexpr (std::endian::native == std::endian::little) {
+        bytes_.append(reinterpret_cast<const char *>(v), n * 8);
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            u64(v[i]);
+    }
 }
 
 const char *
@@ -203,13 +192,10 @@ StateReader::u64Vec()
 bool
 writeSnapshotFile(const std::string &path, const std::string &payload)
 {
-    std::string blob;
-    blob.reserve(kHeaderBytes + payload.size());
-    blob.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-    putLe32(blob, kSnapshotFormatVersion);
-    putLe64(blob, payload.size());
-    putLe64(blob, snapshotChecksum(payload.data(), payload.size()));
-    blob.append(payload);
+    std::string header(kSnapshotMagic, sizeof(kSnapshotMagic));
+    putLe32(header, kSnapshotFormatVersion);
+    putLe64(header, payload.size());
+    putLe64(header, snapshotChecksum(payload.data(), payload.size()));
 
     const std::string tmp = path + ".tmp";
     // A stale tmp from an earlier hard kill must not survive the new
@@ -219,12 +205,14 @@ writeSnapshotFile(const std::string &path, const std::string &payload)
     // exit between here and the rename unlinks the partial tmp.
     setForceExitCleanupPath(tmp.c_str());
     bool ok = false;
-    FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f) {
-        ok = std::fwrite(blob.data(), 1, blob.size(), f) == blob.size();
-        ok = std::fflush(f) == 0 && ok;
-        ok = ::fsync(fileno(f)) == 0 && ok;
-        ok = std::fclose(f) == 0 && ok;
+    const int fd =
+        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+    if (fd >= 0) {
+        // Header, then payload straight from the caller's buffer.
+        ok = writeAll(fd, header.data(), header.size()) &&
+             writeAll(fd, payload.data(), payload.size());
+        ok = ::fsync(fd) == 0 && ok;
+        ok = ::close(fd) == 0 && ok;
     }
     if (ok && std::rename(tmp.c_str(), path.c_str()) != 0)
         ok = false;

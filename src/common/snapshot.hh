@@ -38,6 +38,7 @@
 #ifndef MNPU_COMMON_SNAPSHOT_HH
 #define MNPU_COMMON_SNAPSHOT_HH
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -78,27 +79,57 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 /** FNV-1a over a byte range; the snapshot payload checksum. */
 std::uint64_t snapshotChecksum(const void *data, std::size_t size);
 
-/** Little-endian serializer for snapshot payloads (append-only). */
+/**
+ * Little-endian serializer for snapshot payloads (append-only). Each
+ * value is built in a local buffer and appended once, so encoding
+ * costs one bounds check and one copy per value, not per byte. A
+ * writer reused across snapshots (clear()) keeps its capacity, so
+ * later snapshots of a run append into memory sized by the previous
+ * payload.
+ */
 class StateWriter
 {
   public:
     void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
     void b(bool v) { u8(v ? 1 : 0); }
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
+    void u32(std::uint32_t v) { putLe<4>(v); }
+    void u64(std::uint64_t v) { putLe<8>(v); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
     /** Raw IEEE-754 bit pattern: the round trip is bit-exact. */
-    void d(double v);
-    void str(const std::string &s);
+    void d(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+    void str(const std::string &s)
+    {
+        u64(s.size());
+        bytes_.append(s);
+    }
 
     /** Write a 4-byte section tag delimiting one component's state. */
-    void section(const char (&tag)[5]);
+    void section(const char (&tag)[5]) { bytes_.append(tag, 4); }
 
-    void u64Vec(const std::vector<std::uint64_t> &v);
+    /** @p n values with no count prefix. */
+    void u64s(const std::uint64_t *v, std::size_t n);
+
+    void u64Vec(const std::vector<std::uint64_t> &v)
+    {
+        u64(v.size());
+        u64s(v.data(), v.size());
+    }
 
     const std::string &bytes() const { return bytes_; }
 
+    /** Drop the payload but keep the buffer for the next snapshot. */
+    void clear() { bytes_.clear(); }
+
   private:
+    template <std::size_t N>
+    void putLe(std::uint64_t v)
+    {
+        char buf[N];
+        for (std::size_t i = 0; i < N; ++i)
+            buf[i] = static_cast<char>(v >> (8 * i));
+        bytes_.append(buf, N);
+    }
+
     std::string bytes_;
 };
 

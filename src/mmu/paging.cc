@@ -1,11 +1,58 @@
 #include "mmu/paging.hh"
 
 #include <algorithm>
+#include <array>
+#include <tuple>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace mnpu
 {
+
+namespace
+{
+
+/**
+ * Sort interleaved (key, value) pairs by their unique 64-bit key:
+ * an LSD radix sort, one byte per pass, skipping every byte all keys
+ * share (page keys differ only in the ASID and low VPN bytes).
+ */
+void
+sortPairsByKey(std::vector<std::uint64_t> &pairs)
+{
+    const std::size_t n = pairs.size() / 2;
+    if (n < 2)
+        return;
+    std::array<std::array<std::size_t, 256>, 8> counts{};
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t key = pairs[2 * i];
+        for (std::size_t digit = 0; digit < 8; ++digit)
+            ++counts[digit][(key >> (8 * digit)) & 0xff];
+    }
+    std::vector<std::uint64_t> scratch(pairs.size());
+    for (std::size_t digit = 0; digit < 8; ++digit) {
+        std::array<std::size_t, 256> &count = counts[digit];
+        const unsigned shift = static_cast<unsigned>(8 * digit);
+        if (count[(pairs[0] >> shift) & 0xff] == n)
+            continue; // every key has this byte: order unchanged
+        std::size_t offset = 0;
+        for (std::size_t &bucket : count) {
+            const std::size_t size = bucket;
+            bucket = offset;
+            offset += size;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t to =
+                2 * count[(pairs[2 * i] >> shift) & 0xff]++;
+            scratch[to] = pairs[2 * i];
+            scratch[to + 1] = pairs[2 * i + 1];
+        }
+        pairs.swap(scratch);
+    }
+}
+
+} // namespace
 
 std::uint32_t
 walkLevelsForPageSize(std::uint64_t page_bytes)
@@ -97,16 +144,15 @@ PageAllocator::saveState(StateWriter &out) const
     out.section("PALC");
     out.u64(pageBytes_);
     out.u64(nextFrame_);
-    std::vector<std::uint64_t> keys;
-    keys.reserve(frames_.size());
-    for (const auto &[frame_key, unused_pa] : frames_)
-        keys.push_back(frame_key);
-    std::sort(keys.begin(), keys.end());
-    out.u64(keys.size());
-    for (std::uint64_t frame_key : keys) {
-        out.u64(frame_key);
-        out.u64(frames_.at(frame_key));
+    std::vector<std::uint64_t> pairs;
+    pairs.reserve(2 * frames_.size());
+    for (const auto &[frame_key, pa] : frames_) {
+        pairs.push_back(frame_key);
+        pairs.push_back(pa);
     }
+    sortPairsByKey(pairs);
+    out.u64(frames_.size());
+    out.u64s(pairs.data(), pairs.size());
 }
 
 void
@@ -132,24 +178,21 @@ PageTableModel::saveState(StateWriter &out) const
 {
     out.section("PTBL");
     out.u32(levels_);
-    std::vector<NodeKey> keys;
-    keys.reserve(nodes_.size());
-    for (const auto &[node_key, unused_pa] : nodes_)
-        keys.push_back(node_key);
-    std::sort(keys.begin(), keys.end(),
-              [](const NodeKey &a, const NodeKey &b) {
-                  if (a.asid != b.asid)
-                      return a.asid < b.asid;
-                  if (a.level != b.level)
-                      return a.level < b.level;
-                  return a.prefix < b.prefix;
+    std::vector<std::pair<NodeKey, Addr>> entries(nodes_.begin(),
+                                                  nodes_.end());
+    std::sort(entries.begin(), entries.end(),
+              [](const auto &a, const auto &b) {
+                  return std::tie(a.first.asid, a.first.level,
+                                  a.first.prefix) <
+                         std::tie(b.first.asid, b.first.level,
+                                  b.first.prefix);
               });
-    out.u64(keys.size());
-    for (const NodeKey &node_key : keys) {
+    out.u64(entries.size());
+    for (const auto &[node_key, pa] : entries) {
         out.u32(node_key.asid);
         out.u32(node_key.level);
         out.u64(node_key.prefix);
-        out.u64(nodes_.at(node_key));
+        out.u64(pa);
     }
 }
 

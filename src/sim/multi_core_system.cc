@@ -454,10 +454,13 @@ MultiCoreSystem::run(const RunBudget &budget)
     using WallDuration = std::chrono::duration<double>;
     WallClock::time_point snapLastWall = WallClock::now();
     WallClock::time_point heartbeatLast = snapLastWall;
+    // One encode buffer for the whole run: after the first snapshot
+    // it already holds the capacity the next payload needs.
+    StateWriter snapOut;
     auto persistSnapshot = [&]() {
-        StateWriter out;
-        saveState(out, now, iteration, serviceRound, sampler);
-        if (!writeSnapshotFile(snap.path, out.bytes()))
+        snapOut.clear();
+        saveState(snapOut, now, iteration, serviceRound, sampler);
+        if (!writeSnapshotFile(snap.path, snapOut.bytes()))
             return;
         ++snapshotsPersisted;
         // Drill hooks (snapshot-kill / snapshot-corrupt fault sites,
