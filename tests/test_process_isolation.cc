@@ -19,12 +19,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/wait.h>
@@ -467,6 +469,142 @@ TEST(ProcessIsolationTest, ProcessModePresetStopTokenCancels)
     EXPECT_TRUE(loadSweepCheckpoint(path).empty());
     std::remove(path.c_str());
     std::remove((path + ".lock").c_str());
+}
+
+// --- ProcessPool supervision, driven with custom worker closures ---
+
+/** A deterministic record for job @p index: what any isolation mode
+ *  must hand back unchanged. */
+SweepCheckpointRecord
+syntheticRecord(std::size_t index)
+{
+    SweepCheckpointRecord record;
+    record.key = "job-" + std::to_string(index);
+    record.models = {"net" + std::to_string(index % 3), "net0"};
+    record.speedups = {1.0 / static_cast<double>(index + 3), 0.75};
+    record.localCycles = {index * 1000 + 7, index + 1};
+    record.globalCycles = index * 1000 + 7;
+    record.geomeanSpeedup = std::sqrt(static_cast<double>(index) + 0.5);
+    return record;
+}
+
+/** Never returns and never writes a heartbeat: only a signal ends it. */
+[[noreturn]] void
+hangForever()
+{
+    for (;;)
+        ::pause();
+}
+
+using PoolClock = std::chrono::steady_clock;
+
+double
+secondsSince(PoolClock::time_point start)
+{
+    return std::chrono::duration<double>(PoolClock::now() - start).count();
+}
+
+TEST(ProcessPoolTest, SilentHungWorkerIsKilledAtLeaseDeadline)
+{
+    // Job 0 hangs on its first attempt only, so the retry recovers it;
+    // job 1 hangs on every attempt and is quarantined once its retry
+    // is spent. Both lease deadlines come from the 0.1 s wall budget,
+    // floored to 1 s.
+    ProcessPoolOptions options;
+    options.workers = 2;
+    options.retries = 1;
+    options.backoffSeconds = 0.01;
+    ProcessPool pool(options);
+    const auto start = PoolClock::now();
+    const auto outcomes = pool.run(
+        2,
+        [](std::size_t index, std::uint32_t attempt, double) {
+            if (index == 1 || attempt == 1)
+                hangForever();
+            return syntheticRecord(index);
+        },
+        [](std::size_t, std::uint32_t) { return 0.1; });
+    const double elapsed = secondsSince(start);
+
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_TRUE(outcomes[0].reported);
+    EXPECT_EQ(outcomes[0].attempts, 2u);
+    EXPECT_EQ(outcomes[0].crashes, 1u);
+    EXPECT_EQ(toJsonLine(outcomes[0].record), toJsonLine(syntheticRecord(0)));
+
+    EXPECT_FALSE(outcomes[1].reported);
+    EXPECT_EQ(outcomes[1].attempts, 2u);
+    EXPECT_EQ(outcomes[1].crashes, 2u);
+    EXPECT_NE(outcomes[1].crashError.find("lease deadline exceeded"),
+              std::string::npos)
+        << outcomes[1].crashError;
+    // Two 1 s leases back to back, then the supervisor notices: it
+    // must neither kill early nor coast far past a deadline.
+    EXPECT_GE(elapsed, 2.0);
+    EXPECT_LT(elapsed, 10.0);
+}
+
+TEST(ProcessPoolTest, StopTokenCancelsRunningWorkersPromptly)
+{
+    std::atomic<bool> stop{false};
+    ProcessPoolOptions options;
+    options.workers = 2;
+    options.stopToken = &stop;
+    ProcessPool pool(options);
+    PoolClock::time_point stopped_at{};
+    std::thread stopper([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        stopped_at = PoolClock::now();
+        stop.store(true);
+    });
+    // No wall budget, so no lease deadline: only the stop token can
+    // end these workers.
+    const auto outcomes = pool.run(
+        4, [](std::size_t, std::uint32_t, double) -> SweepCheckpointRecord {
+            hangForever();
+        });
+    const auto returned_at = PoolClock::now();
+    stopper.join();
+
+    EXPECT_LE(std::chrono::duration<double>(returned_at - stopped_at)
+                  .count(),
+              2.0);
+    ASSERT_EQ(outcomes.size(), 4u);
+    for (const auto &outcome : outcomes) {
+        EXPECT_TRUE(outcome.cancelled);
+        EXPECT_FALSE(outcome.reported);
+        EXPECT_EQ(outcome.crashes, 0u);
+    }
+}
+
+TEST(ProcessPoolTest, ManyInstantJobsAllReportLikeThreadMode)
+{
+    // Thread mode runs the same closure in-process; forked workers
+    // must hand back exactly those records, each on its first attempt.
+    const auto worker = [](std::size_t index, std::uint32_t, double) {
+        return syntheticRecord(index);
+    };
+    constexpr std::size_t kJobs = 200;
+    ProcessPoolOptions options;
+    options.workers = 2;
+    ProcessPool pool(options);
+    std::size_t completions = 0;
+    const auto outcomes = pool.run(
+        kJobs, worker, nullptr, nullptr,
+        [&](std::size_t, const ProcessPool::Outcome &) { ++completions; });
+
+    EXPECT_EQ(completions, kJobs);
+    ASSERT_EQ(outcomes.size(), kJobs);
+    for (std::size_t index = 0; index < kJobs; ++index) {
+        const auto &outcome = outcomes[index];
+        ASSERT_TRUE(outcome.reported) << "job " << index << ": "
+                                      << outcome.crashError;
+        EXPECT_EQ(outcome.attempts, 1u);
+        EXPECT_EQ(outcome.crashes, 0u);
+        EXPECT_EQ(toJsonLine(outcome.record),
+                  toJsonLine(worker(index, 1, 0.0)))
+            << "job " << index;
+    }
 }
 
 // --- Supervisor death: kill -9 round-trips through --resume ---
