@@ -10,38 +10,50 @@
  *   bench_micro_components --baseline-out FILE
  *     runs a fixed set of golden mixes under both fidelities and
  *     writes one JSON line per (case, fidelity) with the wall clock,
- *     scheduler loop iterations, and global cycles. The committed
- *     result (bench/BENCH_micro.json) is the PR-over-PR speed ratchet.
+ *     scheduler loop iterations, and global cycles, plus one snapshot
+ *     row: the serialise + persist time and payload bytes of one
+ *     golden-mix snapshot. Every wall clock is the median of
+ *     kBaselineRuns passes. The committed result
+ *     (bench/BENCH_micro.json) is the PR-over-PR speed ratchet.
  *
  *   bench_micro_components --baseline-check FILE
- *     re-runs the same cases and compares: loop_iterations and
- *     global_cycles must match the baseline exactly (they are
- *     deterministic; a mismatch means behavior or scheduler-visit
- *     regressions, regenerate alongside the goldens), while wall
- *     clocks are compared RELATIVELY — normalized by the ratio of
- *     total exact-fidelity wall clock, so a uniformly faster/slower
- *     machine cancels out — and any case slower than baseline by
- *     >15% (+0.1 s absolute slack against sub-second jitter) fails.
+ *     re-runs the same cases and compares: loop_iterations,
+ *     global_cycles and the snapshot payload bytes must match the
+ *     baseline exactly (they are deterministic; a mismatch means
+ *     behavior or scheduler-visit regressions, regenerate alongside
+ *     the goldens), while wall clocks are compared RELATIVELY —
+ *     normalized by the ratio of total exact-fidelity simulation wall
+ *     clock (the snapshot row is not part of it), so a uniformly
+ *     faster/slower machine cancels out — and any row slower than
+ *     baseline by >15% (plus an absolute slack against jitter: 0.1 s
+ *     for simulations, 0.01 s for the snapshot) fails.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "analysis/experiment.hh"
 #include "analysis/golden.hh"
 #include "common/atomic_file.hh"
+#include "common/errors.hh"
 #include "common/fidelity.hh"
+#include "common/snapshot.hh"
 #include "dram/dram_system.hh"
 #include "mmu/paging.hh"
 #include "mmu/tlb.hh"
@@ -145,6 +157,17 @@ const char *const kBaselineCases[] = {
     "hbm2-quad-res-yt-dlrm-ncf-dwt",
 };
 
+/** The snapshot row's mix and fidelity: the quad mix at the fidelity
+ *  process-isolated campaigns run. */
+const char *const kSnapshotCase = "hbm2-quad-res-yt-dlrm-ncf-dwt";
+constexpr FidelityKind kSnapshotFidelity = FidelityKind::Fast;
+
+/** Passes per baseline; every wall clock is the median over them. */
+constexpr int kBaselineRuns = 5;
+
+/** Timed runs with and without the snapshot, per pass. */
+constexpr int kSnapshotReps = 9;
+
 struct BaselineRow
 {
     std::string name;
@@ -152,7 +175,26 @@ struct BaselineRow
     double wallSeconds = 0;
     std::uint64_t loopIterations = 0;
     std::uint64_t globalCycles = 0;
+    /** The snapshot row: wallSeconds is one snapshot's serialise +
+     *  persist time and payloadBytes its payload length. */
+    bool snapshot = false;
+    std::uint64_t payloadBytes = 0;
+
+    /** Identity of the row across baseline files. */
+    std::tuple<std::string, int, bool> id() const
+    {
+        return {name, static_cast<int>(fidelity), snapshot};
+    }
 };
+
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    return values.size() % 2 ? values[mid]
+                             : (values[mid - 1] + values[mid]) / 2;
+}
 
 /** Run one golden mix at @p fidelity and time runMix() alone (trace
  *  generation is pre-warmed so both fidelities measure simulation,
@@ -190,18 +232,77 @@ runBaselineCase(const std::string &name, FidelityKind fidelity)
     return row;
 }
 
+/**
+ * Time one snapshot of kSnapshotCase: runs that stop just before the
+ * second snapshot is due, with and without writing the first, are
+ * timed alternately (systems built untimed); the row's time is the
+ * difference of their medians.
+ */
+BaselineRow
+runSnapshotCase()
+{
+    const GoldenCase &golden = goldenCase(kSnapshotCase);
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("mnpu_bench_snapshot." + std::to_string(::getpid()) + ".snap"))
+            .string();
+    auto timedRun = [&](const std::string &snapshot_path) {
+        auto system = buildSnapshotDigestSystem(golden, kSnapshotFidelity);
+        const RunBudget budget = firstSnapshotBudget(snapshot_path);
+        auto start = std::chrono::steady_clock::now();
+        try {
+            system->run(budget);
+        } catch (const SimulationError &) {
+            // the cycle budget ends every run right after the snapshot
+        }
+        auto stop = std::chrono::steady_clock::now();
+        return std::chrono::duration<double>(stop - start).count();
+    };
+    timedRun(path); // warm-up
+    std::vector<double> with, without;
+    for (int rep = 0; rep < kSnapshotReps; ++rep) {
+        with.push_back(timedRun(path));
+        without.push_back(timedRun(""));
+    }
+    BaselineRow row;
+    row.name = kSnapshotCase;
+    row.fidelity = kSnapshotFidelity;
+    row.snapshot = true;
+    row.wallSeconds = std::max(0.0, median(with) - median(without));
+    const std::optional<std::string> payload = readSnapshotFile(path);
+    std::remove(path.c_str());
+    row.payloadBytes = payload ? payload->size() : 0;
+    return row;
+}
+
+/** Every row, each wall clock the median of kBaselineRuns passes. */
 std::vector<BaselineRow>
 runAllBaselineCases()
 {
     std::vector<BaselineRow> rows;
-    for (const char *name : kBaselineCases) {
-        for (FidelityKind fidelity :
-             {FidelityKind::Exact, FidelityKind::Fast}) {
-            std::printf("  running %-32s %s\n", name,
-                        toString(fidelity));
-            rows.push_back(runBaselineCase(name, fidelity));
+    std::vector<std::vector<double>> walls;
+    for (int pass = 0; pass < kBaselineRuns; ++pass) {
+        std::printf("  pass %d/%d\n", pass + 1, kBaselineRuns);
+        std::vector<BaselineRow> current;
+        for (const char *name : kBaselineCases) {
+            for (FidelityKind fidelity :
+                 {FidelityKind::Exact, FidelityKind::Fast}) {
+                std::printf("  running %-32s %s\n", name,
+                            toString(fidelity));
+                current.push_back(runBaselineCase(name, fidelity));
+            }
         }
+        std::printf("  running %-32s snapshot\n", kSnapshotCase);
+        current.push_back(runSnapshotCase());
+        if (pass == 0) {
+            rows = current;
+            walls.resize(rows.size());
+        }
+        for (std::size_t i = 0; i < current.size(); ++i)
+            walls[i].push_back(current[i].wallSeconds);
     }
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        rows[i].wallSeconds = median(walls[i]);
     return rows;
 }
 
@@ -209,6 +310,16 @@ std::string
 baselineLine(const BaselineRow &row)
 {
     char buf[256];
+    if (row.snapshot) {
+        std::snprintf(buf, sizeof(buf),
+                      "{\"case\":\"%s\",\"fidelity\":\"%s\","
+                      "\"row\":\"snapshot\",\"wall_seconds\":%.6f,"
+                      "\"payload_bytes\":%llu}\n",
+                      row.name.c_str(), toString(row.fidelity),
+                      row.wallSeconds,
+                      static_cast<unsigned long long>(row.payloadBytes));
+        return std::string(buf);
+    }
     std::snprintf(buf, sizeof(buf),
                   "{\"case\":\"%s\",\"fidelity\":\"%s\","
                   "\"wall_seconds\":%.6f,\"loop_iterations\":%llu,"
@@ -242,16 +353,25 @@ parseBaselineLine(const std::string &line, BaselineRow &out)
         value = std::strtod(line.c_str() + pos + tag.size(), nullptr);
         return true;
     };
-    std::string fidelity;
-    double loops = 0, cycles = 0;
+    std::string fidelity, kind;
+    double loops = 0, cycles = 0, payload = 0;
     if (!findString("case", out.name) ||
         !findString("fidelity", fidelity) ||
-        !findNumber("wall_seconds", out.wallSeconds) ||
-        !findNumber("loop_iterations", loops) ||
-        !findNumber("global_cycles", cycles)) {
+        !findNumber("wall_seconds", out.wallSeconds)) {
         return false;
     }
     out.fidelity = parseFidelityKind(fidelity);
+    out.snapshot = findString("row", kind) && kind == "snapshot";
+    if (out.snapshot) {
+        if (!findNumber("payload_bytes", payload))
+            return false;
+        out.payloadBytes = static_cast<std::uint64_t>(payload);
+        return true;
+    }
+    if (!findNumber("loop_iterations", loops) ||
+        !findNumber("global_cycles", cycles)) {
+        return false;
+    }
     out.loopIterations = static_cast<std::uint64_t>(loops);
     out.globalCycles = static_cast<std::uint64_t>(cycles);
     return true;
@@ -278,7 +398,7 @@ baselineOut(const std::string &path)
 int
 baselineCheck(const std::string &path)
 {
-    std::map<std::pair<std::string, int>, BaselineRow> committed;
+    std::map<std::tuple<std::string, int, bool>, BaselineRow> committed;
     std::ifstream in(path, std::ios::binary);
     if (!in) {
         std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
@@ -294,7 +414,7 @@ baselineCheck(const std::string &path)
                          line.c_str());
             return 1;
         }
-        committed[{row.name, static_cast<int>(row.fidelity)}] = row;
+        committed[row.id()] = row;
     }
 
     std::vector<BaselineRow> current = runAllBaselineCases();
@@ -305,16 +425,16 @@ baselineCheck(const std::string &path)
     // regressing against the rest — fail the check.
     double committed_exact = 0, current_exact = 0;
     for (const BaselineRow &row : current) {
-        auto it = committed.find(
-            {row.name, static_cast<int>(row.fidelity)});
+        auto it = committed.find(row.id());
         if (it == committed.end()) {
             std::fprintf(stderr,
-                         "no baseline row for %s/%s — regenerate with "
+                         "no baseline%s row for %s/%s — regenerate with "
                          "--baseline-out\n",
+                         row.snapshot ? " snapshot" : "",
                          row.name.c_str(), toString(row.fidelity));
             return 1;
         }
-        if (row.fidelity == FidelityKind::Exact) {
+        if (!row.snapshot && row.fidelity == FidelityKind::Exact) {
             committed_exact += it->second.wallSeconds;
             current_exact += row.wallSeconds;
         }
@@ -329,8 +449,18 @@ baselineCheck(const std::string &path)
     std::printf("%-32s %-6s %10s %10s %8s\n", "case", "mode",
                 "base(s)", "norm(s)", "ratio");
     for (const BaselineRow &row : current) {
-        const BaselineRow &base =
-            committed.at({row.name, static_cast<int>(row.fidelity)});
+        const BaselineRow &base = committed.at(row.id());
+        const char *mode = row.snapshot ? "snap" : toString(row.fidelity);
+        if (row.snapshot && row.payloadBytes != base.payloadBytes) {
+            std::fprintf(stderr,
+                         "%s/snapshot: payload %llu bytes vs %llu in the "
+                         "baseline — the snapshot format changed\n",
+                         row.name.c_str(),
+                         static_cast<unsigned long long>(row.payloadBytes),
+                         static_cast<unsigned long long>(base.payloadBytes));
+            ++failures;
+            continue;
+        }
         if (row.loopIterations != base.loopIterations ||
             row.globalCycles != base.globalCycles) {
             std::fprintf(
@@ -348,17 +478,18 @@ baselineCheck(const std::string &path)
         }
         double normalized = row.wallSeconds / scale;
         double ratio = normalized / base.wallSeconds;
-        std::printf("%-32s %-6s %10.3f %10.3f %8.2f\n",
-                    row.name.c_str(), toString(row.fidelity),
-                    base.wallSeconds, normalized, ratio);
-        // 15% relative band + 0.1 s absolute slack: sub-second rows
-        // (the fast fidelity) jitter more than 15% on a noisy CI box.
-        if (normalized > base.wallSeconds * 1.15 + 0.1) {
+        std::printf("%-32s %-6s %10.4f %10.4f %8.2f\n", row.name.c_str(),
+                    mode, base.wallSeconds, normalized, ratio);
+        // 15% relative band + absolute slack: sub-second rows (the
+        // fast fidelity) jitter more than 15% on a noisy CI box, and
+        // the millisecond snapshot row includes an fsync.
+        const double slack = row.snapshot ? 0.01 : 0.1;
+        if (normalized > base.wallSeconds * 1.15 + slack) {
             std::fprintf(stderr,
-                         "%s/%s: wall-clock regression: %.3f s "
-                         "normalized vs %.3f s baseline (>15%%)\n",
-                         row.name.c_str(), toString(row.fidelity),
-                         normalized, base.wallSeconds);
+                         "%s/%s: wall-clock regression: %.4f s "
+                         "normalized vs %.4f s baseline (>15%%)\n",
+                         row.name.c_str(), mode, normalized,
+                         base.wallSeconds);
             ++failures;
         }
     }
